@@ -17,14 +17,18 @@ Facebook/DBLP scale):
 * **warm_query** — steady-state ``decrease_estimates`` latency on the
   rehydrated index (the serving layer's hot path).
 
-Both gated numbers are same-run ratios, so machine speed cancels.  The
-acceptance bar: rehydrate >= 10x faster than cold build, and the
-rehydrated index *bit-identical* to the cold one — same base gains
-array, same greedy blocker picks, same spread trace through
-``--budget`` rebase rounds (which exercises the copy-on-write
-promotion).  Identity failure is a hard fail regardless of tolerance.
-``--json PATH`` writes ``BENCH_mmap_artifacts.json``; CI gates
-``rehydrate_speedup_vs_cold`` against the committed baseline via
+Both paths are gated on their own, in units of a fixed numpy
+calibration kernel timed at the start and end of the run
+(:func:`repro.bench.calib_ms`), so machine speed largely cancels while
+a faster cold build (the coin kernel) no longer reads as a slower
+rehydrate.  The acceptance bar: each path within its
+``BUDGET_CALIBS`` cost, and the rehydrated index *bit-identical* to
+the cold one — same base gains array, same greedy blocker picks, same
+spread trace through ``--budget`` rebase rounds (which exercises the
+copy-on-write promotion).  Identity failure is a hard fail regardless
+of tolerance.  The rehydrate-vs-cold speedup is reported for
+information.  ``--json PATH`` writes ``BENCH_mmap_artifacts.json``;
+CI gates its ``per_calib`` costs against the committed baseline via
 ``benchmarks/check_bench_regression.py`` (report kind auto-detected).
 
 Run standalone::
@@ -46,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench import format_table, pick_seeds
+from repro.bench import calib_ms, format_table, pick_seeds
 from repro.engine import build_evaluator, EngineSpec
 from repro.graph import barabasi_albert, CSRGraph
 from repro.models import assign_weighted_cascade
@@ -59,7 +63,10 @@ except ImportError:  # pragma: no cover - script mode
 
 RESULT_FILE = "mmap_artifacts"
 JSON_SCHEMA = 1
-TARGET_SPEEDUP = 10.0
+#: Acceptance budgets in calibration units (path ms / calib ms),
+#: about twice the costs measured on a 2-vCPU Xeon host at the
+#: default size.
+BUDGET_CALIBS = {"cold_build_s": 100.0, "rehydrate_s": 6.0}
 
 
 def greedy_blockers(index, seeds, theta, budget):
@@ -91,6 +98,7 @@ def run_mmap_benchmark(
     cache_dir: str | Path | None = None,
 ) -> dict[str, object]:
     """Time cold build vs rehydrate on one persisted cache directory."""
+    calib_start = calib_ms()
     graph = assign_weighted_cascade(barabasi_albert(n, attach, rng=rng))
     csr = CSRGraph(graph)
     seeds = pick_seeds(graph, num_seeds, rng=rng)
@@ -165,6 +173,8 @@ def run_mmap_benchmark(
         if tmp is not None:
             tmp.cleanup()
 
+    calib = {"start": calib_start, "end": calib_ms()}
+    unit = (calib["start"] + calib["end"]) / 2
     return {
         "n": n,
         "m": csr.m,
@@ -177,7 +187,21 @@ def run_mmap_benchmark(
         "identical": identical,
         "base_spread": base_spread,
         "blockers": cold_picks,
+        "calib_ms": calib,
+        "per_calib": {
+            "cold_build_s": 1e3 * t_cold / unit,
+            "rehydrate_s": 1e3 * t_rehydrate / unit,
+        },
     }
+
+
+def over_budget(r: dict[str, object]) -> list[str]:
+    """Gated paths whose calibrated cost exceeds ``BUDGET_CALIBS``."""
+    return [
+        name
+        for name, budget in BUDGET_CALIBS.items()
+        if r["per_calib"][name] > budget
+    ]
 
 
 def render(r: dict[str, object]) -> str:
@@ -198,12 +222,18 @@ def render(r: dict[str, object]) -> str:
             "-",
         ],
     ]
-    verdict = "PASS" if r["speedup"] >= TARGET_SPEEDUP else "FAIL"
+    costs = ", ".join(
+        f"{name} {r['per_calib'][name]:.1f} (budget {budget:g})"
+        for name, budget in BUDGET_CALIBS.items()
+    )
+    verdict = "FAIL" if over_budget(r) else "PASS"
     summary = (
         f"rehydrated index bit-identical: {r['identical']}; base "
         f"spread {r['base_spread']:.2f}, blockers {r['blockers']}\n"
-        f"rehydrate speedup vs cold build: {r['speedup']:.1f}x "
-        f"(>= {TARGET_SPEEDUP:.0f}x target: {verdict})"
+        f"in calibration units of {r['calib_ms']['start']:.2f}/"
+        f"{r['calib_ms']['end']:.2f} ms: {costs}: {verdict}; "
+        f"rehydrate speedup vs cold build {r['speedup']:.1f}x "
+        "(informational)"
     )
     table = format_table(
         ["time to first answer", "ms", "vs cold"],
@@ -230,6 +260,12 @@ def to_json(result: dict[str, object], params: dict) -> dict:
             float(result["speedup"]), 3
         ),
         "identical": bool(result["identical"]),
+        "calib_ms": {
+            k: round(float(v), 4) for k, v in result["calib_ms"].items()
+        },
+        "per_calib": {
+            k: round(float(v), 2) for k, v in result["per_calib"].items()
+        },
     }
 
 
@@ -243,7 +279,7 @@ def test_mmap_artifacts(benchmark):
     emit(RESULT_FILE, render(result))
     assert result["m"] >= 1_000_000
     assert result["identical"]
-    assert result["speedup"] >= TARGET_SPEEDUP
+    assert not over_budget(result)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         "--no-check",
         action="store_true",
         help=(
-            "report but never fail on the speedup target (for smoke "
+            "report but never fail on the calibrated budgets (for smoke "
             "runs at sizes the acceptance bar was not defined for); "
             "identity is checked regardless"
         ),
@@ -330,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             "(bit-identity contract)"
         )
         return 1
-    if not args.no_check and result["speedup"] < TARGET_SPEEDUP:
+    if not args.no_check and over_budget(result):
         return 1
     return 0
 

@@ -17,10 +17,14 @@ both paths at matched ``theta``:
   sets), giving per-query p50/p99 latency, aggregate queries/sec, and
   the coalescing counters.
 
-The acceptance bar: warm p50 latency at least **10x** below cold.
-``--json PATH`` writes ``BENCH_service.json``; CI gates on
-``warm_speedup_vs_cold`` — a ratio of two numbers measured in the
-same run, which cancels machine speed — via
+The acceptance bar: the warm p50 and the in-process cold p50 each
+within its ``BUDGET_CALIBS`` cost, in units of a fixed numpy
+calibration kernel timed at the start and end of the run
+(:func:`repro.bench.calib_ms`), so machine speed largely cancels while
+a faster cold path (the coin kernel) no longer reads as a slower warm
+path.  The warm-vs-cold speedups are reported for information.
+``--json PATH`` writes ``BENCH_service.json``; CI gates its
+``per_calib`` costs against the committed baseline via
 ``benchmarks/check_bench_regression.py`` (the report kind is
 auto-detected).
 
@@ -44,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 import repro
+from repro.bench import calib_ms
 from repro.obs import iter_spans
 from repro.service import (
     ArtifactCache,
@@ -55,6 +60,12 @@ from repro.service import (
 )
 
 JSON_SCHEMA = 1
+#: Acceptance budgets in calibration units (p50 ms / calib ms), about
+#: twice the costs measured on a 2-vCPU Xeon host at the default size.
+BUDGET_CALIBS = {
+    "warm_p50_ms": 40.0,
+    "cold_inprocess_p50_ms": 120.0,
+}
 
 
 def _percentiles(latencies: list[float]) -> dict[str, float]:
@@ -224,6 +235,7 @@ def run_warm(
 
 
 def run(params: dict) -> dict[str, object]:
+    calib_start = calib_ms()
     key = ArtifactKey(
         params["dataset"], params["model"], params["theta"],
         params["seed"],
@@ -241,26 +253,43 @@ def run(params: dict) -> dict[str, object]:
         params["clients"],
         params["queries_per_client"],
     )
+    calib = {"start": round(calib_start, 4), "end": round(calib_ms(), 4)}
+    unit = (calib["start"] + calib["end"]) / 2
     return {
         "schema": JSON_SCHEMA,
         "params": params,
         "cold": cold,
         "cold_inprocess": cold_inprocess,
         "warm": warm,
-        # the headline number (the ISSUE's >= 10x acceptance bar): how
-        # much a served query beats what a user actually pays per
-        # single-shot CLI question
+        # how much a served query beats what a user actually pays per
+        # single-shot CLI question, and per in-process cold build
+        # (informational: a faster cold path lowers both)
         "warm_speedup_vs_cold": round(
             cold["p50_ms"] / warm["p50_ms"], 2
         ),
-        # the CI-gated number: compute vs compute in one process, so
-        # the ratio genuinely cancels machine speed (the CLI figure
-        # mixes interpreter startup, which scales differently than the
-        # numpy work on a different runner)
         "warm_speedup_vs_cold_inprocess": round(
             cold_inprocess["p50_ms"] / warm["p50_ms"], 2
         ),
+        # the CI-gated numbers: each path's p50 in calibration units
+        # (the CLI figure is not gated: it mixes interpreter startup,
+        # which scales differently than the numpy work on a runner)
+        "calib_ms": calib,
+        "per_calib": {
+            "warm_p50_ms": round(warm["p50_ms"] / unit, 3),
+            "cold_inprocess_p50_ms": round(
+                cold_inprocess["p50_ms"] / unit, 3
+            ),
+        },
     }
+
+
+def over_budget(report: dict) -> list[str]:
+    """Gated paths whose calibrated cost exceeds ``BUDGET_CALIBS``."""
+    return [
+        name
+        for name, budget in BUDGET_CALIBS.items()
+        if report["per_calib"][name] > budget
+    ]
 
 
 def render(report: dict) -> str:
@@ -282,6 +311,13 @@ def render(report: dict) -> str:
         f"(vs in-process build: "
         f"{report['warm_speedup_vs_cold_inprocess']:.1f}x; "
         f"coalescing: {warm['coalescing']})",
+        f"  in calibration units of {report['calib_ms']['start']:.2f}/"
+        f"{report['calib_ms']['end']:.2f} ms: "
+        + ", ".join(
+            f"{name} {report['per_calib'][name]:.2f} "
+            f"(budget {budget:g})"
+            for name, budget in BUDGET_CALIBS.items()
+        ),
     ]
     return "\n".join(lines)
 
@@ -303,6 +339,7 @@ def test_service_latency(benchmark):
         lambda: run(params), rounds=1, iterations=1
     )
     print(render(report))
+    assert set(report["per_calib"]) == set(BUDGET_CALIBS)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -317,17 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--queries-per-client", type=int, default=25)
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=10.0,
-        help=(
-            "fail unless warm p50 beats cold p50 by this factor "
-            "(default: 10; the ISSUE 3 acceptance bar)"
-        ),
-    )
-    parser.add_argument(
         "--no-check", action="store_true",
-        help="report only, skip the --min-speedup assertion",
+        help="report only, skip the calibrated-budget assertion",
     )
     parser.add_argument(
         "--json", type=str, default=None, metavar="PATH",
@@ -352,13 +380,9 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")
-    if not args.no_check and (
-        report["warm_speedup_vs_cold"] < args.min_speedup
-    ):
-        print(
-            f"FAIL: warm speedup {report['warm_speedup_vs_cold']:.1f}x "
-            f"< required {args.min_speedup:g}x"
-        )
+    failed = over_budget(report)
+    if not args.no_check and failed:
+        print(f"FAIL: over the calibrated budget: {', '.join(failed)}")
         return 1
     return 0
 

@@ -9,11 +9,9 @@ Three report kinds, auto-detected:
     throughput normalized by the scalar reference *measured in the
     same run*.
 ``BENCH_service.json`` (``bench_service_latency.py --json``)
-    Gates ``warm_speedup_vs_cold_inprocess`` — warm served-query
-    latency normalized by the cold in-process build+query cost
-    measured in the same run, i.e. the serving layer's whole reason
-    to exist (the CLI-relative speedup is reported, not gated: its
-    numerator includes interpreter startup).
+    Gates the ``per_calib`` costs of both paths: the warm served-query
+    p50 and the cold in-process build+query p50 (see *calibrated
+    gates* below).  The warm-vs-cold speedups are reported, not gated.
 ``BENCH_sketch_build.json`` (``bench_sketch_build.py --json``)
     Gates ``build_speedup_vs_legacy`` — the batched array-native
     sketch construction normalized by the legacy per-sample Python
@@ -41,31 +39,41 @@ Three report kinds, auto-detected:
     asserted by the benchmark itself, not gated here (an
     absolute-noise number, not a cross-machine ratio).
 ``BENCH_mmap_artifacts.json`` (``bench_mmap_artifacts.py --json``)
-    Gates ``rehydrate_speedup_vs_cold`` — time-to-first-answer of a
-    fresh index memory-mapping the persisted sketch artifact,
-    normalized by the cold sample+build+persist path measured in the
-    same run on the same cache directory.  Fails hard if the report
+    Gates the ``per_calib`` costs of both paths: time-to-first-answer
+    of a fresh index memory-mapping the persisted sketch artifact, and
+    of the cold sample+build+persist path (see *calibrated gates*
+    below); their ratio is reported, not gated.  Fails hard if the report
     says the rehydrated index diverged from the cold one (same base
     gains, same greedy blockers through rebase rounds): persistence
     is bit-identity or it is a bug.  The warm steady-state query
     latency is reported but not gated (the sketch-query report
     already covers that path).
 ``BENCH_graph_updates.json`` (``bench_graph_updates.py --json``)
-    Gates ``delta_speedup_vs_rebuild`` — time to the next answer after
-    a batched graph mutation through ``SketchIndex.apply_delta``
-    (patch the pooled samples, rebuild only touched trees) normalized
-    by the cold rebuild over the same mutated graph measured in the
-    same run, at the ladder's 0.1%-of-edges rung.  Fails hard if the
+    Gates the ``per_calib`` costs of both paths at the ladder's
+    0.1%-of-edges rung: time to the next answer after a batched graph
+    mutation through ``SketchIndex.apply_delta`` (patch the pooled
+    samples, rebuild only touched trees), and the cold rebuild over
+    the same mutated graph (see *calibrated gates* below); their ratio
+    and the other rungs are reported, not gated.  Fails hard if the
     report says any rung's delta-applied index diverged from its cold
     rebuild: the incremental path is bit-identity or it is a bug.
-    The other rungs are reported but not gated (the same mechanism at
-    easier or harder delta sizes).
 
-In every case the gated number is a *ratio of two same-run
-measurements*: raw ms differ wildly between the machine that committed
-the baseline and the CI runner, while the ratio cancels machine speed
-and isolates genuine regressions (a kernel slowdown, a cache that
-stopped hitting, an accidental O(n) in the hot path).
+The engine, sketch-build, sketch-query and saturation gates are
+*ratios of two same-run measurements*: raw ms differ wildly between
+the machine that committed the baseline and the CI runner, while the
+ratio cancels machine speed and isolates genuine regressions (a kernel
+slowdown, a cache that stopped hitting, an accidental O(n) in the hot
+path).
+
+*Calibrated gates* (service, mmap-artifact and graph-update reports)
+replace such ratios where the denominator is a cold path that an
+optimisation may legitimately speed up — there, a faster cold path
+reads as a slower fast path.  Each path's time is instead divided by
+a fixed numpy calibration kernel timed at the start and end of the
+same run (``per_calib``: path ms / calib ms), and *both* paths are
+gated against the baseline: neither can hide behind the other, and
+the cold path is protected too.  A cost may grow by at most
+``1 / (1 - tolerance)`` — the same allowance the ratio gates give.
 
 Exit codes: 0 pass, 1 regression, 2 unusable input (missing file,
 kind or parameter mismatch between the runs).
@@ -282,33 +290,67 @@ def compare(
     return failures, lines
 
 
+def compare_calibrated(
+    current: dict, baseline: dict, tolerance: float
+) -> tuple[list[str], list[str]]:
+    """Gate every ``per_calib`` cost of the baseline.
+
+    A cost is a path's time in units of the run's own calibration
+    kernel, so machine speed largely cancels; lower is better.  It
+    fails above ``baseline / (1 - tolerance)``, the mirror of the
+    ratio gates' ``(1 - tolerance) * baseline`` floor.
+    """
+    base_costs = baseline.get("per_calib")
+    if not base_costs:
+        _die(
+            "error: the baseline has no per_calib costs — re-measure "
+            "it and record it with --adopt"
+        )
+    cur_costs = current.get("per_calib", {})
+    failures: list[str] = []
+    lines: list[str] = []
+    for name, base_cost in sorted(base_costs.items()):
+        label = f"{name}/calib"
+        if name not in cur_costs:
+            failures.append(label)
+            lines.append(f"FAIL {label}: missing from the current report")
+            continue
+        cost = float(cur_costs[name])
+        ceiling = float(base_cost) / (1.0 - tolerance)
+        verdict = "ok" if cost <= ceiling else "FAIL"
+        lines.append(
+            f"{verdict:<5}{label:<30} baseline {float(base_cost):9.2f}  "
+            f"current {cost:9.2f}  ceiling {ceiling:9.2f}"
+        )
+        if cost > ceiling:
+            failures.append(label)
+    calib = current.get("calib_ms", {})
+    lines.append(
+        f"      calibration {calib.get('start', '?')} / "
+        f"{calib.get('end', '?')} ms at start / end of the run"
+    )
+    return failures, lines
+
+
 def compare_service(
     current: dict, baseline: dict, tolerance: float
 ) -> tuple[list[str], list[str]]:
     """Service-report gate vs the baseline.
 
-    Gates ``warm_speedup_vs_cold_inprocess``: both sides of that ratio
-    are numpy compute in one process, so machine speed cancels.  The
-    CLI-relative speedup is reported but not gated — its numerator is
-    part interpreter startup, which scales differently across runners.
+    Gates the calibrated warm p50 and cold in-process p50.  The
+    warm-vs-cold speedups are reported but not gated: a faster cold
+    path lowers them without the warm path getting any slower.
     """
     _check_params(current, baseline, _SERVICE_IDENTITY_PARAMS)
-    metric = "warm_speedup_vs_cold_inprocess"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines = [
-        f"{verdict:<5}{metric:<30} baseline "
-        f"{base_speed:7.2f}x  current {cur_speed:7.2f}x  "
-        f"floor {floor:7.2f}x",
-        "      vs cold CLI "
-        f"{current.get('warm_speedup_vs_cold', '?')}x, warm qps "
+    failures, lines = compare_calibrated(current, baseline, tolerance)
+    lines.append(
+        "      warm speedup vs cold in-process "
+        f"{current.get('warm_speedup_vs_cold_inprocess', '?')}x, vs cold "
+        f"CLI {current.get('warm_speedup_vs_cold', '?')}x, warm qps "
         f"{current.get('warm', {}).get('qps', '?')} "
         f"(baseline {baseline.get('warm', {}).get('qps', '?')}; "
-        "informational, not gated)",
-    ]
-    failures = [] if cur_speed >= floor else [metric]
+        "informational, not gated)"
+    )
     return failures, lines
 
 
@@ -435,11 +477,10 @@ def compare_mmap_artifacts(
 ) -> tuple[list[str], list[str]]:
     """Mmap-artifact-report gate vs the baseline.
 
-    Gates ``rehydrate_speedup_vs_cold``: both sides of the ratio are
-    measured in one process against one cache directory, so machine
-    and disk speed cancel.  A report with ``identical: false`` fails
-    unconditionally — a rehydrated index that diverges from the cold
-    build breaks the persistence layer's bit-identity contract.
+    Gates the calibrated rehydrate and cold-build times.  A report
+    with ``identical: false`` fails unconditionally — a rehydrated
+    index that diverges from the cold build breaks the persistence
+    layer's bit-identity contract.
     """
     _check_params(current, baseline, _MMAP_IDENTITY_PARAMS)
     failures: list[str] = []
@@ -450,24 +491,17 @@ def compare_mmap_artifacts(
             "FAIL identical: rehydrated index diverges from the cold "
             "build"
         )
-    metric = "rehydrate_speedup_vs_cold"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
+    gated, gate_lines = compare_calibrated(current, baseline, tolerance)
+    failures += gated
+    lines += gate_lines
     lines.append(
         "      cold "
         f"{current.get('cold_build_s', '?')}s, rehydrate "
-        f"{current.get('rehydrate_s', '?')}s, warm query "
-        f"{current.get('warm_query_s', '?')}s at m="
+        f"{current.get('rehydrate_s', '?')}s "
+        f"({current.get('rehydrate_speedup_vs_cold', '?')}x), warm "
+        f"query {current.get('warm_query_s', '?')}s at m="
         f"{current.get('m', '?')} (informational, not gated)"
     )
-    if cur_speed < floor:
-        failures.append(metric)
     return failures, lines
 
 
@@ -476,12 +510,10 @@ def compare_graph_updates(
 ) -> tuple[list[str], list[str]]:
     """Graph-update-report gate vs the baseline.
 
-    Gates ``delta_speedup_vs_rebuild``: both sides of the ratio — the
-    incremental ``apply_delta`` path and the cold rebuild over the
-    same mutated graph — are measured in one process in one run, so
-    machine speed cancels.  A report with ``identical: false`` fails
-    unconditionally — a delta-applied index that diverges from the
-    cold rebuild breaks the incremental path's bit-identity contract.
+    Gates the calibrated delta and cold-rebuild times at the 0.1%
+    rung.  A report with ``identical: false`` fails unconditionally —
+    a delta-applied index that diverges from the cold rebuild breaks
+    the incremental path's bit-identity contract.
     """
     _check_params(current, baseline, _GRAPH_UPDATES_IDENTITY_PARAMS)
     failures: list[str] = []
@@ -492,15 +524,9 @@ def compare_graph_updates(
             "FAIL identical: delta-applied index diverges from the "
             "cold rebuild"
         )
-    metric = "delta_speedup_vs_rebuild"
-    base_speed = float(baseline[metric])
-    cur_speed = float(current[metric])
-    floor = (1.0 - tolerance) * base_speed
-    verdict = "ok" if cur_speed >= floor else "FAIL"
-    lines.append(
-        f"{verdict:<5}{metric:<30} baseline {base_speed:7.2f}x  "
-        f"current {cur_speed:7.2f}x  floor {floor:7.2f}x"
-    )
+    gated, gate_lines = compare_calibrated(current, baseline, tolerance)
+    failures += gated
+    lines += gate_lines
     for rung in current.get("rungs", []):
         lines.append(
             f"      rung {100 * rung.get('fraction', 0):g}% "
@@ -510,20 +536,18 @@ def compare_graph_updates(
             f"{rung.get('trees_rebuilt', '?')} trees "
             "(informational, not gated)"
         )
-    if cur_speed < floor:
-        failures.append(metric)
     return failures, lines
 
 
 # the headline number a ledger entry records per report kind
 _GATED_METRIC = {
     "engine": "backends",
-    "service": "warm_speedup_vs_cold_inprocess",
+    "service": "per_calib",
     "service_saturation": "sustained_speedup_vs_serial",
     "sketch_build": "build_speedup_vs_legacy",
     "sketch_query": "select_speedup_vs_legacy",
-    "mmap_artifacts": "rehydrate_speedup_vs_cold",
-    "graph_updates": "delta_speedup_vs_rebuild",
+    "mmap_artifacts": "per_calib",
+    "graph_updates": "per_calib",
 }
 
 _LEDGER = Path("benchmarks/BASELINES.md")
@@ -556,6 +580,11 @@ def adopt(current_path: str, baseline_path: str) -> int:
             for name, entry in sorted(current["backends"].items())
             if name != "scalar"
         )
+    elif metric == "per_calib":
+        summary = ", ".join(
+            f"{name}={cost}"
+            for name, cost in sorted(current.get(metric, {}).items())
+        ) + " calib units"
     else:
         summary = f"{metric}={current.get(metric, '?')}x"
     payload = dict(current)
@@ -621,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         failures, lines = compare_service(
             current, baseline, args.tolerance
         )
-        metric = "warm speedup vs cold"
+        metric = "calibrated warm and cold costs"
     elif kind == "service_saturation":
         failures, lines = compare_service_saturation(
             current, baseline, args.tolerance
@@ -641,12 +670,12 @@ def main(argv: list[str] | None = None) -> int:
         failures, lines = compare_mmap_artifacts(
             current, baseline, args.tolerance
         )
-        metric = "rehydrate speedup vs cold build"
+        metric = "calibrated rehydrate and cold-build costs"
     elif kind == "graph_updates":
         failures, lines = compare_graph_updates(
             current, baseline, args.tolerance
         )
-        metric = "delta speedup vs cold rebuild"
+        metric = "calibrated delta and cold-rebuild costs"
     else:
         failures, lines = compare(current, baseline, args.tolerance)
         metric = "speedup vs scalar"

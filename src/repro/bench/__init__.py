@@ -4,6 +4,7 @@ from .experiments import Experiment, experiment_command, EXPERIMENTS
 from .reporting import format_series, format_table, print_banner
 from .runner import (
     AlgorithmRun,
+    calib_ms,
     evaluate_spread,
     pick_seeds,
     prepare_graph,
@@ -11,6 +12,7 @@ from .runner import (
 )
 
 __all__ = [
+    "calib_ms",
     "prepare_graph",
     "pick_seeds",
     "AlgorithmRun",

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence, TYPE_CHECKING
 
+import numpy as np
+
 from ..graph import DiGraph
 from ..models import assign_trivalency, assign_weighted_cascade
 from ..rng import ensure_rng, RngLike
@@ -23,6 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..engine import SpreadEvaluator
 
 __all__ = [
+    "calib_ms",
     "prepare_graph",
     "pick_seeds",
     "AlgorithmRun",
@@ -31,6 +34,25 @@ __all__ = [
 ]
 
 Model = Literal["tr", "wc"]
+
+
+def calib_ms() -> float:
+    """Host-speed probe: best of five runs of a fixed numpy kernel
+    (sort + reduction), in ms.
+
+    Benchmarks record it at the start and end of a run and gate their
+    timings as multiples of it, so a gate compares how long a path
+    takes in units of this host's numpy speed — not against another
+    path of the same code that a speedup could move.
+    """
+    data = np.random.default_rng(0).random(1 << 19)
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        ordered = np.sort(data)
+        float((ordered * 1.0001).sum())
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
 
 
 def prepare_graph(graph: DiGraph, model: Model, rng: RngLike = None) -> DiGraph:

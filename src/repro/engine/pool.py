@@ -12,6 +12,12 @@ and — optionally — processes:
   enough samples exist (a *hit*) and triggers incremental generation of
   only the shortfall otherwise (a *miss* grows the pool, it never
   regenerates);
+* generation is one fused hash → threshold → compaction pass per
+  sample row, run by the compiled coin kernel
+  (:func:`~repro.native.native_coin_rows`) straight into one
+  preallocated positions buffer, with a numpy twin
+  (``_coin_rows_numpy``) as the byte-identical fallback when no
+  compiler is available or ``REPRO_NATIVE=0``;
 * blocking is applied at traversal time by the consumer (see
   :func:`~repro.engine.kernels.reach_counts_from_alive`), so the same
   samples serve every blocked-set query;
@@ -33,13 +39,20 @@ from pathlib import Path
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph, GraphDelta
+from ..native import native_coin_rows
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
 
 __all__ = ["PoolDeltaReport", "SampleBatch", "SamplePool", "PoolStats"]
 
-# cap on the (chunk, m) hash matrix materialised per generation step
+# cap on the (chunk, m) hash matrix the numpy paths materialise per
+# step (the fallback coin draw and apply_delta's coin re-decisions)
 _COIN_CELL_BUDGET = 8_000_000
+
+# generation preallocates mean + this many standard deviations of the
+# survivor count (plus one row), so the doubling resume in ``_grow``
+# is practically never taken
+_SLACK_SIGMAS = 6.0
 
 # tag mixed into the disk fingerprint: bump when the coin scheme
 # changes so a persisted pool can never attach under a different
@@ -82,9 +95,19 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``P(h < floor(p * 2^64)) = p`` up to one part in ``2^64`` for a
     uniform ``h``.  Probabilities so close to 1 that ``p * 2^64``
     rounds to ``2^64`` (including exactly 1.0) are returned in the
-    ``sure`` mask and survive unconditionally.
+    ``sure`` mask and survive unconditionally.  A NaN or out-of-range
+    ``p`` has no threshold (the cast would silently make the edge
+    survive always or at random), so it raises ``ValueError`` naming
+    the first offending position.
     """
-    thr_f = np.ldexp(probs.astype(np.float64, copy=False), 64)
+    probs = probs.astype(np.float64, copy=False)
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"edge position {int(bad[0])} has probability "
+            f"{float(probs[bad[0]])!r}; expected a value in [0, 1]"
+        )
+    thr_f = np.ldexp(probs, 64)
     sure = thr_f >= np.float64(2.0**64)
     thr = np.where(sure, 0.0, thr_f).astype(np.uint64)
     return thr, sure
@@ -93,6 +116,41 @@ def _thresholds(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_counters(lo: int, hi: int) -> np.ndarray:
     """Per-sample counter increments for samples ``lo .. hi-1``."""
     return np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN
+
+
+def _coin_rows_numpy(
+    keys: np.ndarray,
+    thr: np.ndarray,
+    sure: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+    at: int,
+    row_ends: np.ndarray,
+) -> int:
+    """Numpy twin of :func:`~repro.native.native_coin_rows`: draw
+    samples ``lo .. hi-1`` into ``out[at:]`` a ``(window, m)`` hash
+    matrix at a time, setting ``row_ends`` and stopping at the first
+    row that does not fit; returns the rows completed.  The fallback
+    when the compiled kernel is unavailable, and its reference."""
+    window = max(1, _COIN_CELL_BUDGET // max(keys.shape[0], 1))
+    done = lo
+    while done < hi:
+        width = min(window, hi - done)
+        h = _mix64(
+            keys[None, :] + _sample_counters(done, done + width)[:, None]
+        )
+        rows, pos = np.nonzero((h < thr) | sure)
+        ends = at + np.cumsum(np.bincount(rows, minlength=width))
+        fit = int(np.searchsorted(ends, out.shape[0], side="right"))
+        used = int(ends[fit - 1]) - at if fit else 0
+        out[at: at + used] = pos[:used]
+        row_ends[done - lo: done - lo + fit] = ends[:fit]
+        done += fit
+        at += used
+        if fit < width:
+            break
+    return done - lo
 
 
 @dataclass
@@ -247,7 +305,6 @@ class SamplePool:
         # and a graph delta can re-decide exactly the affected edges
         # (same hash, new threshold) without touching any other coin.
         self._root = int(ensure_rng(rng).integers(2**63))
-        self._chunk = max(1, _COIN_CELL_BUDGET // max(self.csr.m, 1))
         self.stats = PoolStats()
         self._theta = 0
         self._offsets = np.zeros(1, dtype=np.int64)
@@ -554,7 +611,6 @@ class SamplePool:
 
         # -- swap state and re-key the persisted artifact -------------
         self.csr = new_csr
-        self._chunk = max(1, _COIN_CELL_BUDGET // max(new_m, 1))
         self._offsets = new_offsets
         self._positions = new_positions
         self.stats.deltas += 1
@@ -579,37 +635,49 @@ class SamplePool:
     # generation
     # ------------------------------------------------------------------
     def _grow(self, extra: int) -> None:
+        """Draw samples ``theta .. theta+extra-1`` into one buffer.
+
+        The positions array is preallocated at the expected size plus
+        a slack and a row; the draw only has to grow it (by doubling)
+        if a row does not fit, and the buffer is trimmed in place
+        once at the end, so no unaccounted capacity stays pinned.
+        """
         m = self.csr.m
-        chunk = self._chunk
-        target = self._theta + extra
-        chunks_pos: list[np.ndarray] = [np.asarray(self._positions)]
-        chunks_counts: list[np.ndarray] = []
+        start, target = self._theta, self._theta + extra
         keys = _edge_keys(self._root, self.csr.src, self.csr.indices)
         thr, sure = _thresholds(self.csr.probs)
-        for lo in range(self._theta, target, chunk):
-            # one (window, m) hash matrix per step, bounded by the
-            # cell budget; sample content is per-(edge, sample) and
-            # never depends on the window boundaries
-            hi = min(lo + chunk, target)
-            if m:
-                h = _mix64(
-                    keys[None, :] + _sample_counters(lo, hi)[:, None]
+        offsets = np.empty(target + 1, dtype=np.int64)
+        offsets[: start + 1] = self._offsets
+        base = int(offsets[start])
+        p = np.minimum(self.csr.probs, 1.0)
+        mean = extra * float(p.sum())
+        sigma = float(np.sqrt(extra * float((p * (1.0 - p)).sum())))
+        expected = max(0, int(np.ceil(mean + _SLACK_SIGMAS * sigma)))
+        positions = np.empty(base + expected + m, dtype=np.int64)
+        positions[:base] = self._positions[:base]
+        lo, at = start, base
+        while lo < target:
+            rows = native_coin_rows(
+                keys, thr, sure, lo, target, positions, at,
+                offsets[lo + 1:],
+            )
+            if rows is None:
+                rows = _coin_rows_numpy(
+                    keys, thr, sure, lo, target, positions, at,
+                    offsets[lo + 1:],
                 )
-                coins = (h < thr) | sure
-                rows, pos = np.nonzero(coins)
-                counts = np.bincount(rows, minlength=hi - lo)
-                chunks_pos.append(pos.astype(np.int64, copy=False))
-                chunks_counts.append(counts.astype(np.int64, copy=False))
-            else:
-                chunks_counts.append(np.zeros(hi - lo, dtype=np.int64))
-        counts = np.concatenate(chunks_counts)
-        new_offsets = np.empty(self._theta + extra + 1, dtype=np.int64)
-        new_offsets[: self._theta + 1] = self._offsets
-        np.cumsum(counts, out=new_offsets[self._theta + 1:])
-        new_offsets[self._theta + 1:] += self._offsets[self._theta]
-        self._offsets = new_offsets
-        self._positions = np.concatenate(chunks_pos)
-        self._theta += extra
+            lo += rows
+            at = int(offsets[lo])
+            if lo < target:  # a row did not fit: double and resume
+                positions.resize(
+                    max(2 * positions.shape[0], at + m), refcheck=False
+                )
+        # in-place realloc, not a slice: a view would pin the slack
+        # behind a truthful-looking .nbytes
+        positions.resize(at, refcheck=False)
+        self._offsets = offsets
+        self._positions = positions
+        self._theta = target
         self.stats.generated += extra
 
     # ------------------------------------------------------------------

@@ -1,24 +1,28 @@
 """repro.native — optional compiled kernels, loaded via ``ctypes``.
 
-The sketch estimator's irreducible per-sample cost is the
-Lengauer–Tarjan walk, which no amount of numpy vectorisation removes
-(every step is data-dependent).  This package ships the batched
-tree-build kernel as plain C (``lt_kernel.c``), compiled **on demand**
-with whatever ``cc``/``gcc`` the host already has and loaded through
-the standard library's ``ctypes`` — no build-time dependency, no
-compiled artifact in the repository, and a clean fallback: when no
-compiler is available (or ``REPRO_NATIVE=0`` is set) every caller uses
-the pure-Python path and produces bit-identical results, just slower.
+Two hot loops resist numpy vectorisation.  The sketch estimator's
+irreducible per-sample cost is the Lengauer–Tarjan walk (every step is
+data-dependent), and sample-pool generation hashes ``theta * m`` coins
+whose survivors must be compacted into the pool's flat positions
+array.  This package ships both as plain C — the batched tree-build
+kernel (``lt_kernel.c``) and the fused hash → threshold → compaction
+coin kernel (``coin_kernel.c``) — compiled together **on demand** into
+one shared object with whatever ``cc``/``gcc`` the host already has
+and loaded through the standard library's ``ctypes``: no build-time
+dependency, no compiled artifact in the repository, and a clean
+fallback.  When no compiler is available (or ``REPRO_NATIVE=0`` is
+set) every caller uses its numpy/Python path and produces
+bit-identical results, just slower.
 
 Compiled objects are cached under a per-user temp directory keyed by a
-hash of the C source, so a source change triggers exactly one
+hash of every C source, so a source change triggers exactly one
 recompile and concurrent processes race benignly (atomic rename).
 
-The only consumer today is
-:meth:`repro.engine.treebuild.TreeBuilder.build_packed`; anything else
-wanting a native kernel should follow the same pattern: ship C next to
-this file, add a loader entry, keep the Python path as the semantic
-reference.
+Consumers: :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
+(tree builds) and :class:`repro.engine.pool.SamplePool` generation
+(coins).  Anything else wanting a native kernel should follow the same
+pattern: ship C next to this file, list it in ``_SOURCES``, bind it in
+``_load``, and keep the Python path as the semantic reference.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
+    "native_coin_rows",
 ]
 
 
@@ -50,7 +55,10 @@ def _count(name: str, help_text: str) -> None:
     cached object, or fall back to Python?" without log spelunking."""
     global_registry().counter(name, help_text).inc()
 
-_SOURCE = Path(__file__).with_name("lt_kernel.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name)
+    for name in ("lt_kernel.c", "coin_kernel.c")
+)
 
 # resolved lazily, exactly once per process: None = not yet attempted,
 # False = unavailable (no compiler / disabled / compile failed)
@@ -103,10 +111,12 @@ def _cache_dir_trusted(cache: Path) -> bool:
 
 def _compile() -> Path | None:
     """Compile (or reuse) the kernel shared object; None on failure."""
-    if not _SOURCE.is_file():
+    if not all(path.is_file() for path in _SOURCES):
         return None
-    source = _SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    sha = hashlib.sha256()
+    for path in _SOURCES:
+        sha.update(path.name.encode() + b"\0" + path.read_bytes())
+    digest = sha.hexdigest()[:16]
     cache = native_cache_dir()
     try:
         cache.mkdir(parents=True, exist_ok=True, mode=0o700)
@@ -114,7 +124,7 @@ def _compile() -> Path | None:
         return None
     if not _cache_dir_trusted(cache):
         return None
-    so_path = cache / f"lt_kernel-{digest}-py{sys.version_info[0]}.so"
+    so_path = cache / f"repro_native-{digest}-py{sys.version_info[0]}.so"
     if so_path.is_file():
         _count(
             "repro_native_compile_cache_hits_total",
@@ -128,7 +138,7 @@ def _compile() -> Path | None:
         tmp = so_path.with_name(f".{so_path.name}.{os.getpid()}.tmp")
         subprocess.run(
             [compiler, "-O3", "-shared", "-fPIC",
-             str(_SOURCE), "-o", str(tmp)],
+             *map(str, _SOURCES), "-o", str(tmp)],
             check=True,
             capture_output=True,
             timeout=120,
@@ -136,7 +146,7 @@ def _compile() -> Path | None:
         tmp.replace(so_path)  # atomic: concurrent compiles race benignly
         _count(
             "repro_native_compiles_total",
-            "On-demand compiles of the batched LT kernel",
+            "On-demand compiles of the native kernels",
         )
         return so_path
     except (OSError, subprocess.SubprocessError):
@@ -149,6 +159,7 @@ def _compile() -> Path | None:
 
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 
 
 def _load() -> "ctypes.CDLL | bool":
@@ -176,6 +187,19 @@ def _load() -> "ctypes.CDLL | bool":
                         _I64P,  # out_sizes
                         _I64P,  # out_lengths
                     ]
+                    lib.repro_coin_rows.restype = ctypes.c_int64
+                    lib.repro_coin_rows.argtypes = [
+                        ctypes.c_int64,  # m
+                        _U64P,  # keys
+                        _U64P,  # thr
+                        _U8P,  # sure
+                        ctypes.c_int64,  # lo
+                        ctypes.c_int64,  # hi
+                        _I64P,  # out
+                        ctypes.c_int64,  # at
+                        ctypes.c_int64,  # cap
+                        _I64P,  # row_ends
+                    ]
                     _lib = lib
                 except OSError:
                     _lib = False
@@ -183,7 +207,8 @@ def _load() -> "ctypes.CDLL | bool":
 
 
 def native_build_available() -> bool:
-    """True when the compiled tree-build kernel is loadable here."""
+    """True when the compiled kernels (tree build and coins) are
+    loadable here."""
     return _load() is not False
 
 
@@ -211,12 +236,14 @@ def native_build_trees(
     if lib is False:
         _count(
             "repro_native_fallbacks_total",
-            "Batched tree builds answered by the pure-Python path",
+            "Batched tree builds answered by the pure-Python path "
+            "(tree-build kernel only)",
         )
         return None
     _count(
         "repro_native_calls_total",
-        "Batched tree builds answered by the compiled kernel",
+        "Batched tree builds answered by the compiled kernel "
+        "(tree-build kernel only; coins count separately)",
     )
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     sample_idx = np.ascontiguousarray(sample_idx, dtype=np.int64)
@@ -253,4 +280,61 @@ def native_build_trees(
         lengths[:batch].copy(),
         out_order[:total].copy(),
         out_sizes[:total].copy(),
+    )
+
+
+def native_coin_rows(
+    keys: np.ndarray,
+    thr: np.ndarray,
+    sure: np.ndarray,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+    at: int,
+    row_ends: np.ndarray,
+) -> int | None:
+    """Draw pool samples ``lo .. hi-1`` into ``out[at:]``; the number
+    of rows completed, or ``None`` when the kernel is unavailable
+    (callers fall back to the numpy path — coins are bit-identical
+    either way).
+
+    ``keys``/``thr`` are the per-edge ``uint64`` stream keys and
+    survival thresholds and ``sure`` the ``bool`` always-survives mask
+    (see :mod:`repro.engine.pool`).  ``row_ends[r]`` receives the end
+    index in ``out`` of row ``lo + r``.  A row starts only while ``m``
+    slots remain in ``out``, so the kernel stops early at a row
+    boundary when the caller's buffer runs short; the caller grows
+    ``out`` and resumes at ``lo + rows``.
+    """
+    m = int(keys.shape[0])
+    if thr.shape != (m,) or sure.shape != (m,) or sure.dtype != np.bool_:
+        raise ValueError("keys, thr and sure must be m-long; sure bool")
+    if not (0 <= lo <= hi and row_ends.shape[0] >= hi - lo):
+        raise ValueError(f"bad sample window [{lo}, {hi})")
+    if not 0 <= at <= out.shape[0]:
+        raise ValueError(f"write offset {at} outside the output buffer")
+    lib = _load()
+    if lib is False:
+        _count(
+            "repro_native_coin_fallbacks_total",
+            "Sample-pool coin draws answered by the numpy path",
+        )
+        return None
+    _count(
+        "repro_native_coin_calls_total",
+        "Sample-pool coin draws answered by the compiled coin kernel",
+    )
+    return int(
+        lib.repro_coin_rows(
+            m,
+            keys,
+            thr,
+            sure.view(np.uint8),
+            lo,
+            hi,
+            out,
+            at,
+            int(out.shape[0]),
+            row_ends,
+        )
     )

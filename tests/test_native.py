@@ -57,7 +57,7 @@ def test_disabled_process_falls_back():
 def test_compiled_object_is_cached():
     if not native_build_available():
         pytest.skip("no compiler on this host")
-    cached = list(native_cache_dir().glob("lt_kernel-*.so"))
+    cached = list(native_cache_dir().glob("repro_native-*.so"))
     assert cached, "expected a cached shared object after loading"
 
 
@@ -77,3 +77,49 @@ def test_kernel_empty_batch():
     )
     assert lengths.shape[0] == 0
     assert orders.shape[0] == 0 and sizes.shape[0] == 0
+
+
+def _coin_args(m: int = 4, rows: int = 3):
+    keys = np.arange(1, m + 1, dtype=np.uint64)
+    thr = np.full(m, 2**63, dtype=np.uint64)
+    sure = np.zeros(m, dtype=bool)
+    out = np.empty(rows * m, dtype=np.int64)
+    return keys, thr, sure, 0, rows, out, 0, np.empty(rows, dtype=np.int64)
+
+
+def _counter(name: str) -> float:
+    from repro.obs import global_registry
+
+    return global_registry().counter(name, "").value
+
+
+def test_coin_kernel_counters(monkeypatch):
+    if not native_build_available():
+        pytest.skip("no compiler on this host")
+    calls = _counter("repro_native_coin_calls_total")
+    tree_calls = _counter("repro_native_calls_total")
+    assert native.native_coin_rows(*_coin_args()) == 3
+    assert _counter("repro_native_coin_calls_total") == calls + 1
+    # the tree-build counter stays tree-build-only
+    assert _counter("repro_native_calls_total") == tree_calls
+
+    fallbacks = _counter("repro_native_coin_fallbacks_total")
+    monkeypatch.setattr(native, "_lib", False)
+    assert native.native_coin_rows(*_coin_args()) is None
+    assert _counter("repro_native_coin_fallbacks_total") == fallbacks + 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (1, np.zeros(3, dtype=np.uint64)),  # thr shorter than keys
+        (2, np.zeros(4, dtype=np.uint8)),  # sure not bool
+        (4, 5),  # hi beyond row_ends
+        (6, 13),  # write offset past the buffer
+    ],
+)
+def test_coin_kernel_rejects_bad_buffers(field, value):
+    args = list(_coin_args())
+    args[field] = value
+    with pytest.raises(ValueError):
+        native.native_coin_rows(*args)
