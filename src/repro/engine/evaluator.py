@@ -41,6 +41,8 @@ from typing import Iterable, Protocol, runtime_checkable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
+from ..native import native_reach_counts
+from ..obs import span
 from ..rng import ensure_rng, RngLike
 from ..spread import MonteCarloEngine
 from .kernels import (
@@ -48,6 +50,7 @@ from .kernels import (
     batch_activation_counts,
     batch_cascades,
     batch_spread,
+    blocked_mask,
     reach_counts_from_alive,
 )
 from .parallel import ParallelEvaluator
@@ -224,24 +227,57 @@ class PooledEvaluator(_EvaluatorLifecycle):
         rounds: int,
         blocked_sets: Sequence[Iterable[int]],
     ) -> list[float]:
-        """One estimate per blocked set, sharing the sample traversal.
+        """One estimate per blocked set over the same pooled samples.
 
-        The expensive part of a pooled query is materialising each
-        chunk's boolean aliveness matrix; a batch of queries that
-        differ only in their blocked sets (the service's coalesced
-        spread requests) pays that once per chunk instead of once per
-        query.  Results are bit-identical to ``len(blocked_sets)``
-        separate :meth:`expected_spread` calls — same samples, same
-        chunking, same integer sums — so batching is invisible to
-        callers comparing against serial execution.
+        Each blocked set is one BFS per sample through the compiled
+        reach kernel (:func:`repro.native.native_reach_counts`), which
+        reads the pool's flat arrays in place — an mmap-attached pool
+        is never copied.  Without the kernel (no compiler, or
+        ``REPRO_NATIVE=0``) the numpy frontier traversal runs instead,
+        chunk by chunk over boolean aliveness matrices that every
+        blocked set shares.  Both paths sum the same integer reach
+        counts, so results are bit-identical across paths and to
+        ``len(blocked_sets)`` separate :meth:`expected_spread` calls —
+        batching is invisible to callers comparing against serial
+        execution.  Seeds and blocked ids must be vertices in
+        ``[0, n)`` and no seed may be blocked (``ValueError``).
         """
         if rounds <= 0:
             raise ValueError("rounds must be positive")
         if not blocked_sets:
             return []
-        batch = self.pool.get(rounds)
-        seed_list = list(seeds)
+        seed_list = list(dict.fromkeys(seeds))
         blocked_lists = [list(b) for b in blocked_sets]
+        masks = [
+            blocked_mask(self.csr.n, b, seed_list) for b in blocked_lists
+        ]
+        batch = self.pool.get(rounds)
+        with span("pooled.reach"):
+            totals = self._native_totals(batch, rounds, seed_list, masks)
+            if totals is None:
+                totals = self._numpy_totals(
+                    batch, rounds, seed_list, blocked_lists
+                )
+        return [total / rounds for total in totals]
+
+    def _native_totals(
+        self, batch, rounds: int, seeds: list, masks: list[np.ndarray]
+    ) -> list[int] | None:
+        seed_arr = np.asarray(seeds, dtype=np.int64)
+        totals = []
+        for mask in masks:
+            counts = native_reach_counts(
+                self.csr.indptr, self.csr.indices, batch.positions,
+                batch.offsets, rounds, seed_arr, mask,
+            )
+            if counts is None:
+                return None
+            totals.append(int(counts.sum()))
+        return totals
+
+    def _numpy_totals(
+        self, batch, rounds: int, seeds: list, blocked_lists: list[list]
+    ) -> list[int]:
         step = auto_batch_size(max(self.csr.m, self.csr.n), self.batch_size)
         totals = [0] * len(blocked_lists)
         for lo in range(0, rounds, step):
@@ -250,10 +286,10 @@ class PooledEvaluator(_EvaluatorLifecycle):
             for i, blocked_list in enumerate(blocked_lists):
                 totals[i] += int(
                     reach_counts_from_alive(
-                        self.csr, seed_list, alive, blocked_list
+                        self.csr, seeds, alive, blocked_list
                     ).sum()
                 )
-        return [total / rounds for total in totals]
+        return totals
 
 
 def _legacy_warning(factory: str) -> None:

@@ -44,6 +44,7 @@ __all__ = [
     "batch_cascades",
     "batch_spread",
     "batch_activation_counts",
+    "blocked_mask",
     "reach_counts_from_alive",
     "sample_csr",
     "postings_csr",
@@ -111,14 +112,20 @@ def _coin_survive(gen: np.random.Generator, probs32: np.ndarray):
     return make_survive
 
 
-def _blocked_mask(
+def blocked_mask(
     n: int, blocked: Iterable[int], seeds: Sequence[int]
 ) -> np.ndarray:
+    """``bool[n]`` mask of ``blocked``, after checking every seed and
+    blocked id is a vertex in ``[0, n)`` (a negative id would
+    otherwise index from the end) and that no seed is blocked."""
     mask = np.zeros(n, dtype=bool)
-    blocked_list = list(blocked)
-    if blocked_list:
-        mask[np.asarray(blocked_list, dtype=np.int64)] = True
+    for v in blocked:
+        if not 0 <= v < n:
+            raise ValueError(f"blocked vertex {v} out of range [0, {n})")
+        mask[v] = True
     for s in seeds:
+        if not 0 <= s < n:
+            raise ValueError(f"seed {s} out of range [0, {n})")
         if mask[s]:
             raise ValueError(f"seed {s} cannot be blocked")
     return mask
@@ -193,8 +200,8 @@ def _run_batches(
         raise ValueError("rounds must be positive")
     n = csr.n
     seed_list = list(dict.fromkeys(seeds))
-    blocked_mask = _blocked_mask(n, blocked, seed_list)
-    has_blocked = bool(blocked_mask.any())
+    mask = blocked_mask(n, blocked, seed_list)
+    has_blocked = bool(mask.any())
     seed_arr = np.asarray(seed_list, dtype=np.int64)
     outdeg = csr.out_degrees()
     size = auto_batch_size(n, batch_size)
@@ -216,7 +223,7 @@ def _run_batches(
         while frontier is not None:
             frontier = _frontier_step(
                 csr, outdeg, active_flat, frontier[0], frontier[1],
-                blocked_mask, has_blocked, survive,
+                mask, has_blocked, survive,
             )
             if frontier is not None:
                 round_counts += np.bincount(frontier[0], minlength=b)

@@ -783,6 +783,10 @@ class _ArenaSketchView:
         revive_keys = orders[new_mask] * self.theta + np.repeat(
             touched, lengths - 1
         )
+        # sorted needles walk the keys front to back (cache-friendly
+        # binary searches); the revive only sets bits, so their order
+        # does not matter
+        revive_keys.sort()
         self._post_alive[
             np.searchsorted(self._post_key, revive_keys)
         ] = True

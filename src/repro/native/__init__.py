@@ -1,12 +1,14 @@
 """repro.native — optional compiled kernels, loaded via ``ctypes``.
 
-Two hot loops resist numpy vectorisation.  The sketch estimator's
+Three hot loops resist numpy vectorisation.  The sketch estimator's
 irreducible per-sample cost is the Lengauer–Tarjan walk (every step is
-data-dependent), and sample-pool generation hashes ``theta * m`` coins
-whose survivors must be compacted into the pool's flat positions
-array.  This package ships both as plain C — the batched tree-build
-kernel (``lt_kernel.c``) and the fused hash → threshold → compaction
-coin kernel (``coin_kernel.c``) — compiled together **on demand** into
+data-dependent), the pooled evaluator's is a BFS per sample (one
+frontier level at a time in numpy), and sample-pool generation hashes
+``theta * m`` coins whose survivors must be compacted into the pool's
+flat positions array.  This package ships all three as plain C — the
+batched tree-build and reach-count kernels (``lt_kernel.c``) and the
+fused hash → threshold → compaction coin kernel (``coin_kernel.c``) —
+compiled together **on demand** into
 one shared object with whatever ``cc``/``gcc`` the host already has
 and loaded through the standard library's ``ctypes``: no build-time
 dependency, no compiled artifact in the repository, and a clean
@@ -19,7 +21,8 @@ hash of every C source, so a source change triggers exactly one
 recompile and concurrent processes race benignly (atomic rename).
 
 Consumers: :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
-(tree builds) and :class:`repro.engine.pool.SamplePool` generation
+(tree builds), :meth:`repro.engine.PooledEvaluator.expected_spread_many`
+(reach counts) and :class:`repro.engine.pool.SamplePool` generation
 (coins).  Anything else wanting a native kernel should follow the same
 pattern: ship C next to this file, list it in ``_SOURCES``, bind it in
 ``_load``, and keep the Python path as the semantic reference.
@@ -46,6 +49,7 @@ __all__ = [
     "native_build_trees",
     "native_cache_dir",
     "native_coin_rows",
+    "native_reach_counts",
 ]
 
 
@@ -187,6 +191,19 @@ def _load() -> "ctypes.CDLL | bool":
                         _I64P,  # out_sizes
                         _I64P,  # out_lengths
                     ]
+                    lib.repro_reach_counts.restype = ctypes.c_int64
+                    lib.repro_reach_counts.argtypes = [
+                        ctypes.c_int64,  # n
+                        _I64P,  # indptr
+                        _I64P,  # edge_dst
+                        _I64P,  # positions
+                        _I64P,  # offsets
+                        ctypes.c_int64,  # rounds
+                        _I64P,  # seeds
+                        ctypes.c_int64,  # num_seeds
+                        _U8P,  # blocked
+                        _I64P,  # out_counts
+                    ]
                     lib.repro_coin_rows.restype = ctypes.c_int64
                     lib.repro_coin_rows.argtypes = [
                         ctypes.c_int64,  # m
@@ -207,8 +224,8 @@ def _load() -> "ctypes.CDLL | bool":
 
 
 def native_build_available() -> bool:
-    """True when the compiled kernels (tree build and coins) are
-    loadable here."""
+    """True when the compiled kernels (tree build, reach counts and
+    coins) are loadable here."""
     return _load() is not False
 
 
@@ -338,3 +355,68 @@ def native_coin_rows(
             row_ends,
         )
     )
+
+
+def native_reach_counts(
+    indptr: np.ndarray,
+    edge_dst: np.ndarray,
+    positions: np.ndarray,
+    offsets: np.ndarray,
+    rounds: int,
+    seeds: np.ndarray,
+    blocked_mask: np.ndarray,
+) -> np.ndarray | None:
+    """``int64[rounds]`` reach counts of ``seeds`` in pool samples
+    ``0 .. rounds-1``, or ``None`` when the kernel is unavailable
+    (callers fall back to the numpy traversal — counts are identical
+    either way).
+
+    ``indptr``/``edge_dst`` are the base graph's CSR arrays and
+    ``offsets``/``positions`` the pool's flat sample arrays, read in
+    place (an mmap-attached pool is never copied).  ``blocked_mask``
+    is a ``bool[n]`` mask; every seed must be a vertex id in
+    ``[0, n)`` that is not blocked.
+    """
+    n = int(indptr.shape[0]) - 1
+    if n < 0 or edge_dst.shape != (int(indptr[-1]),):
+        raise ValueError("indptr and edge_dst must form an n-vertex CSR")
+    if blocked_mask.shape != (n,) or blocked_mask.dtype != np.bool_:
+        raise ValueError(f"blocked_mask must be bool[{n}]")
+    if not 0 <= rounds < offsets.shape[0]:
+        raise ValueError(f"rounds {rounds} exceeds the pooled samples")
+    if positions.shape[0] < int(offsets[rounds]):
+        raise ValueError("positions shorter than the sample offsets")
+    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+    if seeds.size and not (
+        0 <= int(seeds.min()) and int(seeds.max()) < n
+    ):
+        raise ValueError(f"seed ids must lie in [0, {n})")
+    if blocked_mask[seeds].any():
+        raise ValueError("a seed cannot be blocked")
+    lib = _load()
+    if lib is False:
+        _count(
+            "repro_native_reach_fallbacks_total",
+            "Pooled reach traversals answered by the numpy path",
+        )
+        return None
+    _count(
+        "repro_native_reach_calls_total",
+        "Pooled reach traversals answered by the compiled reach kernel",
+    )
+    counts = np.empty(max(rounds, 1), dtype=np.int64)
+    status = lib.repro_reach_counts(
+        n,
+        np.ascontiguousarray(indptr, dtype=np.int64),
+        np.ascontiguousarray(edge_dst, dtype=np.int64),
+        np.ascontiguousarray(positions, dtype=np.int64),
+        np.ascontiguousarray(offsets, dtype=np.int64),
+        rounds,
+        seeds,
+        int(seeds.shape[0]),
+        np.ascontiguousarray(blocked_mask).view(np.uint8),
+        counts,
+    )
+    if status < 0:  # pragma: no cover - scratch malloc failure
+        raise MemoryError("native reach kernel out of memory")
+    return counts[:rounds]

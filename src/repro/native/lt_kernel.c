@@ -324,3 +324,85 @@ int64_t repro_build_trees(
     free(scratch);
     return out_pos;
 }
+
+/* Per-sample reach counts of a seed set over pooled live-edge samples.
+ *
+ * The traversal behind the pooled evaluator's spread estimates: for
+ * each sample t in [0, rounds) a BFS from the seeds over the sample's
+ * surviving edges, skipping blocked vertices, counting every vertex
+ * reached (seeds included, each once).  Rows are located with the same
+ * binary search of the sample's ascending position slice against the
+ * base CSR row bounds as repro_build_trees, so per-sample work scales
+ * with the reachable subgraph; visited marks are reset through the
+ * queue, and all scratch lives in one malloc per call.
+ *
+ * Counts equal repro/engine/kernels.py::reach_counts_from_alive over
+ * the same samples (reachability does not depend on visit order).
+ *
+ * seeds: may repeat (a repeat is counted once); the caller guarantees
+ *     every seed lies in [0, n) and is not blocked.
+ * blocked: byte mask over the n real vertices.
+ * out_counts[t]: reach count of sample t.
+ *
+ * Returns 0, or -1 when scratch allocation fails.
+ */
+int64_t repro_reach_counts(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *edge_dst,
+    const int64_t *positions,
+    const int64_t *offsets,
+    int64_t rounds,
+    const int64_t *seeds,
+    int64_t num_seeds,
+    const uint8_t *blocked,
+    int64_t *out_counts) {
+    if (rounds <= 0) {
+        return 0;
+    }
+    /* queue (n int64) followed by the visited bytes (n) */
+    size_t bytes = (size_t)(n + 1) * (sizeof(int64_t) + 1);
+    int64_t *queue = (int64_t *)malloc(bytes);
+    if (queue == NULL) {
+        return -1;
+    }
+    uint8_t *seen = (uint8_t *)(queue + n + 1);
+    for (int64_t v = 0; v < n; v++) {
+        seen[v] = 0;
+    }
+
+    for (int64_t t = 0; t < rounds; t++) {
+        int64_t slice_lo = offsets[t];
+        int64_t slice_hi = offsets[t + 1];
+        int64_t tail = 0;
+        for (int64_t k = 0; k < num_seeds; k++) {
+            int64_t s = seeds[k];
+            if (!seen[s]) {
+                seen[s] = 1;
+                queue[tail++] = s;
+            }
+        }
+        for (int64_t head = 0; head < tail; head++) {
+            int64_t u = queue[head];
+            int64_t j = lower_bound(
+                positions, slice_lo, slice_hi, indptr[u]);
+            int64_t end = lower_bound(
+                positions, j, slice_hi, indptr[u + 1]);
+            for (; j < end; j++) {
+                int64_t v = edge_dst[positions[j]];
+                if (!seen[v] && !blocked[v]) {
+                    seen[v] = 1;
+                    queue[tail++] = v;
+                }
+            }
+        }
+        out_counts[t] = tail;
+        /* --- O(reached) reset for the next sample --- */
+        for (int64_t k = 0; k < tail; k++) {
+            seen[queue[k]] = 0;
+        }
+    }
+
+    free(queue);
+    return 0;
+}

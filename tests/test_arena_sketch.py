@@ -19,11 +19,13 @@ that promise down:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import greedy_replace, solve_imin
 from repro.datasets.toy import figure1_graph, figure1_seed, V
 from repro.engine import make_evaluator, postings_csr, SketchIndex
 from repro.engine.pool import SamplePool
+from repro.engine.sketch import _ArenaSketchView, SketchStats
 from repro.engine.treebuild import TreeBuilder
 from repro.graph import barabasi_albert, CSRGraph, DiGraph
 from repro.models import assign_weighted_cascade
@@ -277,6 +279,59 @@ class TestArenaLegacyParity:
         assert arena.expected_spread(
             seeds, theta
         ) == cold.expected_spread(seeds, theta)
+
+
+# ----------------------------------------------------------------------
+# rebase invariant: postings aliveness always matches the arena trees
+# ----------------------------------------------------------------------
+_REBASE_SEEDS = (0, 5)
+_REBASE_THETA = 60
+# candidate blockers: hubs and tail vertices of the 400-vertex graph
+_REBASE_CANDIDATES = (1, 2, 3, 7, 12, 30, 61, 100, 250, 399)
+
+
+def _fresh_view(csr, pool):
+    return _ArenaSketchView(
+        csr, pool.get(_REBASE_THETA), _REBASE_SEEDS, SketchStats(),
+        TreeBuilder(csr),
+    )
+
+
+def _alive_from_trees(view) -> np.ndarray:
+    """Posting aliveness recomputed from scratch: a posting
+    ``(v, t)`` is alive iff sample ``t``'s current tree reaches ``v``."""
+    keys = [
+        view._order_arena[start + 1: start + length] * view.theta + t
+        for t, (start, length) in enumerate(
+            zip(view._starts.tolist(), view._lengths.tolist())
+        )
+    ]
+    return np.isin(view._post_key, np.concatenate(keys))
+
+
+class TestRebaseInvariant:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        moves=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(_REBASE_CANDIDATES)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_postings_track_trees_across_moves(self, wc_setup, moves):
+        _, csr, pool = wc_setup
+        view = _fresh_view(csr, pool)
+        blocked: set[int] = set()
+        for add, vertex in moves:
+            (blocked.add if add else blocked.discard)(vertex)
+            current = frozenset(blocked)
+            view.rebase(current)
+            assert np.array_equal(
+                view._post_alive, _alive_from_trees(view)
+            ), sorted(current)
+            fresh = _fresh_view(csr, pool)
+            assert view.spread(current) == fresh.spread(current)
+            assert np.array_equal(view.gains(current), fresh.gains(current))
 
 
 # ----------------------------------------------------------------------

@@ -123,3 +123,55 @@ def test_coin_kernel_rejects_bad_buffers(field, value):
     args[field] = value
     with pytest.raises(ValueError):
         native.native_coin_rows(*args)
+
+
+def _reach_args():
+    # 0 -> 1 -> 2 plus 2 -> 0; sample 0 keeps 0->1, sample 1 keeps both
+    indptr = np.array([0, 1, 2, 3], dtype=np.int64)
+    edge_dst = np.array([1, 2, 0], dtype=np.int64)
+    offsets = np.array([0, 1, 3], dtype=np.int64)
+    positions = np.array([0, 0, 1], dtype=np.int64)
+    seeds = np.array([0], dtype=np.int64)
+    return indptr, edge_dst, positions, offsets, 2, seeds, np.zeros(
+        3, dtype=bool
+    )
+
+
+def test_reach_kernel_counts_and_counters(monkeypatch):
+    if not native_build_available():
+        pytest.skip("no compiler on this host")
+    calls = _counter("repro_native_reach_calls_total")
+    tree_calls = _counter("repro_native_calls_total")
+    counts = native.native_reach_counts(*_reach_args())
+    assert counts.tolist() == [2, 3]
+    assert _counter("repro_native_reach_calls_total") == calls + 1
+    # the tree-build counter stays tree-build-only
+    assert _counter("repro_native_calls_total") == tree_calls
+
+    args = list(_reach_args())
+    args[6] = np.array([False, False, True])
+    assert native.native_reach_counts(*args).tolist() == [2, 2]
+
+    fallbacks = _counter("repro_native_reach_fallbacks_total")
+    monkeypatch.setattr(native, "_lib", False)
+    assert native.native_reach_counts(*_reach_args()) is None
+    assert _counter("repro_native_reach_fallbacks_total") == fallbacks + 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (1, np.zeros(2, dtype=np.int64)),  # edge_dst shorter than m
+        (2, np.zeros(2, dtype=np.int64)),  # positions shorter than offsets
+        (4, 3),  # rounds beyond the pooled samples
+        (5, np.array([3], dtype=np.int64)),  # seed out of range
+        (5, np.array([-1], dtype=np.int64)),  # negative seed
+        (6, np.zeros(3, dtype=np.uint8)),  # mask not bool
+        (6, np.array([True, False, False])),  # the seed is blocked
+    ],
+)
+def test_reach_kernel_rejects_bad_inputs(field, value):
+    args = list(_reach_args())
+    args[field] = value
+    with pytest.raises(ValueError):
+        native.native_reach_counts(*args)
