@@ -117,6 +117,18 @@ class ScalarEvaluator(_EvaluatorLifecycle, MonteCarloEngine):
 
     backend = "scalar"
 
+    def expected_spread(
+        self,
+        seeds: Sequence[int],
+        rounds: int,
+        blocked: Iterable[int] = (),
+    ) -> float:
+        seeds, blocked = list(seeds), list(blocked)
+        # the id checks every backend shares: the scalar walk would
+        # index a negative seed from the end of its mark arrays
+        blocked_mask(self.csr.n, blocked, seeds)
+        return super().expected_spread(seeds, rounds, blocked)
+
 
 class VectorizedEvaluator(_EvaluatorLifecycle):
     """Spread evaluator backed by the numpy batch kernel."""

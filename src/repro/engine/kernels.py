@@ -337,18 +337,19 @@ def postings_csr(
     sample_ids: np.ndarray,
     vertices: np.ndarray,
     n: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverted membership index: vertex -> samples containing it.
 
     ``(sample_ids[i], vertices[i])`` pairs state "sample ``t`` reaches
     vertex ``v``"; ``sample_ids`` must be non-decreasing (the natural
     order when pairs are emitted sample by sample).  Returns
-    ``(indptr, samples)`` CSR arrays over the ``n`` vertices: the
-    samples reaching ``v`` are ``samples[indptr[v]:indptr[v + 1]]``,
-    **ascending** — a stable counting sort by vertex preserves the
+    ``(indptr, samples, order)``: CSR arrays over the ``n`` vertices —
+    the samples reaching ``v`` are ``samples[indptr[v]:indptr[v + 1]]``,
+    **ascending** (a stable counting sort by vertex preserves the
     sample order within each row, which is what lets consumers binary
-    search rows (and concatenations of rows) by ``v * theta + t``
-    keys.
+    search rows, and concatenations of rows, by ``v * theta + t``
+    keys) — plus the sort's permutation: posting ``k`` is input pair
+    ``order[k]``.
 
     This is the construction kernel of the sketch index's
     inverted membership index (the arena-backed query path): built
@@ -360,7 +361,7 @@ def postings_csr(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(vertices, minlength=n), out=indptr[1:])
     order = np.argsort(vertices, kind="stable")
-    return indptr, sample_ids[order]
+    return indptr, sample_ids[order], order
 
 
 def reach_counts_from_alive(

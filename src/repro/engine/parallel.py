@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph
+from ..native import pin_fanout_width
 from ..rng import ensure_rng, RngLike
 from .kernels import batch_cascades
 
@@ -166,6 +167,8 @@ def split_rounds(rounds: int, workers: int) -> list[int]:
 
 def _init_worker(indptr, indices, probs, sample_paths=None) -> None:
     global _WORKER_CSR, _WORKER_SAMPLE_PATHS, _WORKER_SAMPLES
+    # sibling workers hold the other cores: kernels stay single-threaded
+    pin_fanout_width(1)
     _WORKER_CSR = CSRGraph.from_arrays(indptr, indices, probs)
     _WORKER_SAMPLE_PATHS = sample_paths
     _WORKER_SAMPLES = None

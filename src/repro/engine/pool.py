@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..graph import CSRGraph, DiGraph, GraphDelta
-from ..native import native_coin_rows
+from ..native import coin_parts, native_coin_rows
 from ..obs import span, track
 from ..rng import ensure_rng, RngLike
 
@@ -638,9 +638,10 @@ class SamplePool:
         """Draw samples ``theta .. theta+extra-1`` into one buffer.
 
         The positions array is preallocated at the expected size plus
-        a slack and a row; the draw only has to grow it (by doubling)
-        if a row does not fit, and the buffer is trimmed in place
-        once at the end, so no unaccounted capacity stays pinned.
+        a slack and a row, per part of the coin kernel's thread
+        fan-out; the draw only has to grow it (by doubling) if a row
+        does not fit, and the buffer is trimmed in place once at the
+        end, so no unaccounted capacity stays pinned.
         """
         m = self.csr.m
         start, target = self._theta, self._theta + extra
@@ -650,17 +651,25 @@ class SamplePool:
         offsets[: start + 1] = self._offsets
         base = int(offsets[start])
         p = np.minimum(self.csr.probs, 1.0)
-        mean = extra * float(p.sum())
-        sigma = float(np.sqrt(extra * float((p * (1.0 - p)).sum())))
-        expected = max(0, int(np.ceil(mean + _SLACK_SIGMAS * sigma)))
-        positions = np.empty(base + expected + m, dtype=np.int64)
+        p_sum, p_var = float(p.sum()), float((p * (1.0 - p)).sum())
+
+        def slots(rows: int) -> int:
+            mean, sigma = rows * p_sum, np.sqrt(rows * p_var)
+            return max(0, int(np.ceil(mean + _SLACK_SIGMAS * sigma))) + m
+
+        # one region per part of the coin kernel's thread fan-out
+        regions = [(rows, slots(rows)) for rows in coin_parts(extra, m)]
+        positions = np.empty(
+            base + sum(size for _, size in regions), dtype=np.int64
+        )
         positions[:base] = self._positions[:base]
         lo, at = start, base
         while lo < target:
             rows = native_coin_rows(
                 keys, thr, sure, lo, target, positions, at,
-                offsets[lo + 1:],
+                offsets[lo + 1:], regions,
             )
+            regions = None  # a resume after a short region is serial
             if rows is None:
                 rows = _coin_rows_numpy(
                     keys, thr, sure, lo, target, positions, at,

@@ -85,7 +85,7 @@ import numpy as np
 from ..graph import CSRGraph, DiGraph, GraphDelta
 from ..obs import global_registry, span, track
 from ..rng import RngLike
-from .kernels import postings_csr, ragged_arange
+from .kernels import blocked_mask, postings_csr, ragged_arange
 from .pool import PoolDeltaReport, SampleBatch, SamplePool
 from .treebuild import TreeBuilder
 
@@ -483,31 +483,7 @@ class _ArenaSketchView:
             )
 
         # ---- inverted membership index over the base trees ----
-        sample_ids = np.repeat(
-            np.arange(self.theta, dtype=np.int64), self._lengths - 1
-        )
-        self._post_indptr, self._post_samples = postings_csr(
-            sample_ids, verts, n
-        )
-        self._post_alive = np.ones(self._post_samples.shape[0], dtype=bool)
-        # keys v * theta + t are globally ascending (vertex-major rows,
-        # samples ascending within a row): one searchsorted resolves
-        # arbitrary (vertex, sample) pairs to posting indices
-        self._post_key = (
-            np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self._post_indptr)
-            )
-            * self.theta
-            + self._post_samples
-        )
-        # by-sample view of the same postings: row t lists the posting
-        # indices of sample t's base-reachable vertices
-        self._samp_indptr = np.zeros(self.theta + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._post_samples, minlength=self.theta),
-            out=self._samp_indptr[1:],
-        )
-        self._samp_pidx = np.argsort(self._post_samples, kind="stable")
+        self._index_postings(verts)
         self._sync_bytes()
 
     # ------------------------------------------------------------------
@@ -939,21 +915,30 @@ class _ArenaSketchView:
         """Rebuild the inverted membership index from the current
         arena (all postings alive — only valid parked at the
         unblocked base, where current trees are the base trees)."""
-        n = self.csr.n
-        counts = self._lengths - 1
         flat = np.repeat(self._starts, self._lengths) + ragged_arange(
             self._lengths
         )
-        verts = self._order_arena[flat[_payload_mask(self._lengths)]]
+        self._index_postings(
+            self._order_arena[flat[_payload_mask(self._lengths)]]
+        )
+
+    def _index_postings(self, verts: np.ndarray) -> None:
+        """Build the postings from every tree's non-root vertices,
+        ``verts``, listed sample by sample in arena order."""
+        n = self.csr.n
+        counts = self._lengths - 1
         sample_ids = np.repeat(
             np.arange(self.theta, dtype=np.int64), counts
         )
-        self._post_indptr, self._post_samples = postings_csr(
+        self._post_indptr, self._post_samples, order = postings_csr(
             sample_ids, verts, n
         )
         self._post_alive = np.ones(
             self._post_samples.shape[0], dtype=bool
         )
+        # keys v * theta + t are globally ascending (vertex-major rows,
+        # samples ascending within a row): one searchsorted resolves
+        # arbitrary (vertex, sample) pairs to posting indices
         self._post_key = (
             np.repeat(
                 np.arange(n, dtype=np.int64), np.diff(self._post_indptr)
@@ -961,12 +946,15 @@ class _ArenaSketchView:
             * self.theta
             + self._post_samples
         )
+        # by-sample view of the same postings: row t lists the posting
+        # indices of sample t's base-reachable vertices.  The pairs
+        # were emitted sample by sample, so inverting the sort's
+        # permutation groups them by sample (in arena order within a
+        # row; the kill step of _writeback does not depend on it)
         self._samp_indptr = np.zeros(self.theta + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self._post_samples, minlength=self.theta),
-            out=self._samp_indptr[1:],
-        )
-        self._samp_pidx = np.argsort(self._post_samples, kind="stable")
+        np.cumsum(counts, out=self._samp_indptr[1:])
+        self._samp_pidx = np.empty_like(order)
+        self._samp_pidx[order] = np.arange(order.shape[0], dtype=np.int64)
 
     # ------------------------------------------------------------------
     # queries
@@ -1116,10 +1104,7 @@ class SketchIndex:
             raise ValueError("theta must be positive")
         seed_tuple = tuple(dict.fromkeys(int(s) for s in seeds))
         if not seed_tuple:
-            raise ValueError("at least one seed is required")
-        for s in seed_tuple:
-            if not 0 <= s < self.csr.n:
-                raise IndexError(f"seed {s} is not a vertex")
+            return None  # no sources: nothing spreads, nothing to build
         key = (seed_tuple, theta)
         # pop-then-reinsert both refreshes LRU recency and stays safe
         # against a concurrent close() clearing the dict between the
@@ -1257,16 +1242,10 @@ class SketchIndex:
     def _blocked_set(
         self, seeds: Sequence[int], blocked: Iterable[int]
     ) -> frozenset[int]:
+        """The blocked set, after the id checks every backend shares
+        (:func:`~repro.engine.kernels.blocked_mask`)."""
         blocked_set = frozenset(int(v) for v in blocked)
-        n = self.csr.n
-        for v in blocked_set:
-            if not 0 <= v < n:
-                raise ValueError(
-                    f"blocked vertex {v} out of range [0, {n})"
-                )
-        for s in seeds:
-            if int(s) in blocked_set:
-                raise ValueError(f"seed {s} cannot be blocked")
+        blocked_mask(self.csr.n, blocked_set, [int(s) for s in seeds])
         return blocked_set
 
     # ------------------------------------------------------------------
@@ -1281,7 +1260,8 @@ class SketchIndex:
         """Sketch estimate of ``E(seeds, G[V \\ blocked])`` over
         ``rounds`` pooled samples (seeds counted, per Definition 3)."""
         blocked_set = self._blocked_set(seeds, blocked)
-        return self._view(seeds, rounds).spread(blocked_set)
+        view = self._view(seeds, rounds)
+        return 0.0 if view is None else view.spread(blocked_set)
 
     def marginal_gain(
         self,
@@ -1306,7 +1286,8 @@ class SketchIndex:
                 f"vertex {v} out of range [0, {self.csr.n})"
             )
         blocked_set = self._blocked_set(seeds, blocked)
-        return self._view(seeds, rounds).gain(v, blocked_set)
+        view = self._view(seeds, rounds)
+        return 0.0 if view is None else view.gain(v, blocked_set)
 
     def decrease_estimates(
         self,
@@ -1318,4 +1299,7 @@ class SketchIndex:
         the sketch form of Algorithm 2's output (0 for unreachable or
         already-blocked vertices)."""
         blocked_set = self._blocked_set(seeds, blocked)
-        return self._view(seeds, rounds).gains(blocked_set)
+        view = self._view(seeds, rounds)
+        if view is None:
+            return np.zeros(self.csr.n, dtype=np.float64)
+        return view.gains(blocked_set)

@@ -20,6 +20,18 @@ Compiled objects are cached under a per-user temp directory keyed by a
 hash of every C source, so a source change triggers exactly one
 recompile and concurrent processes race benignly (atomic rename).
 
+Every kernel is a loop over independent samples, and each sample's
+coins, tree and reach count are a pure function of that sample, so a
+wrapper may split its sample range into contiguous parts and run them
+on short-lived threads (``ctypes`` releases the GIL for the C call):
+the caller thread runs part 0, the helpers are joined before the
+wrapper returns, and the results are byte-identical at every width.
+The width is the number of CPUs this process may run on, and a part is
+only split off when it carries about a millisecond of kernel work.
+Every output buffer is allocated on the caller thread (helpers only
+run the C call), no thread outlives a call, and process-pool workers
+pin the width to 1 (:func:`pin_fanout_width`).
+
 Consumers: :meth:`repro.engine.treebuild.TreeBuilder.build_packed`
 (tree builds), :meth:`repro.engine.PooledEvaluator.expected_spread_many`
 (reach counts) and :class:`repro.engine.pool.SamplePool` generation
@@ -38,18 +50,24 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
+from functools import partial
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..obs import global_registry
 
 __all__ = [
+    "coin_parts",
+    "fanout_width",
     "native_build_available",
     "native_build_trees",
     "native_cache_dir",
     "native_coin_rows",
     "native_reach_counts",
+    "pin_fanout_width",
 ]
 
 
@@ -58,6 +76,102 @@ def _count(name: str, help_text: str) -> None:
     ops surface answers "did this process compile the kernel, reuse a
     cached object, or fall back to Python?" without log spelunking."""
     global_registry().counter(name, help_text).inc()
+
+
+# the least work worth a thread: each constant is about 1 ms of kernel
+# time per part (thread start and join cost ~0.1 ms), so small calls —
+# rebases touching a few samples, theta=1000 spread queries — stay on
+# the caller thread
+_PART_TREES = 256
+_PART_ROUNDS = 512
+_PART_COIN_CELLS = 1 << 22
+
+# process-pool workers pin the width to 1 (pin_fanout_width), so
+# workers=N keeps N cores busy, not N x cores
+_pinned_width: int | None = None
+
+
+def pin_fanout_width(width: int) -> None:
+    """Cap the kernel fan-out of this process at ``width`` threads.
+    Called by process-pool worker initialisers, whose siblings already
+    occupy the other cores."""
+    global _pinned_width
+    if width < 1:
+        raise ValueError("fan-out width must be >= 1")
+    _pinned_width = width
+
+
+def fanout_width() -> int:
+    """Threads a kernel call may use: the CPUs this process may run
+    on, or 1 in a process-pool worker."""
+    if _pinned_width is not None:
+        return _pinned_width
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return max(1, os.cpu_count() or 1)
+
+
+def _part_bounds(count: int, per_part: int) -> list[int]:
+    """Bounds of the contiguous near-even parts ``range(count)`` splits
+    into: at most :func:`fanout_width` parts, each at least
+    ``per_part`` long (one part when ``count`` is smaller)."""
+    parts = max(1, min(fanout_width(), count // max(per_part, 1)))
+    base, extra = divmod(count, parts)
+    bounds = [0]
+    for k in range(parts):
+        bounds.append(bounds[-1] + base + (1 if k < extra else 0))
+    return bounds
+
+
+def coin_parts(rows: int, m: int) -> list[int]:
+    """Row counts of the parts a draw of ``rows`` samples over ``m``
+    edges fans out into — what a caller of :func:`native_coin_rows`
+    sizes its per-part output regions by."""
+    bounds = _part_bounds(rows, -(-_PART_COIN_CELLS // max(m, 1)))
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fan_out(calls: Sequence[Callable[[], object]]) -> list:
+    """Run every call, ``calls[0]`` on the caller thread and the rest
+    on short-lived helper threads joined before returning; the results
+    in call order.  The first helper exception is re-raised here."""
+    results: list = [None] * len(calls)
+    errors: list[BaseException] = []
+
+    def run(k: int) -> None:
+        try:
+            results[k] = calls[k]()
+        except BaseException as exc:  # handed to the caller thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for k in range(1, len(calls)):
+            helper = threading.Thread(
+                target=run, args=(k,), name=f"repro-native-{k}"
+            )
+            helper.start()
+            helpers.append(helper)
+        results[0] = calls[0]()
+    finally:
+        for helper in helpers:
+            helper.join()
+    registry = global_registry()
+    registry.gauge(
+        "repro_native_fanout_width",
+        "Threads the last native kernel call could fan out to "
+        "(CPU affinity; 1 in process-pool workers)",
+    ).set(fanout_width())
+    if helpers:
+        registry.counter(
+            "repro_native_fanout_parts_total",
+            "Native kernel parts run off the caller thread",
+        ).inc(len(helpers))
+    if errors:
+        raise errors[0]
+    return results
+
 
 _SOURCES = tuple(
     Path(__file__).with_name(name)
@@ -264,30 +378,39 @@ def native_build_trees(
     )
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
     sample_idx = np.ascontiguousarray(sample_idx, dtype=np.int64)
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+    blocked_mask = np.ascontiguousarray(blocked_mask, dtype=np.uint8)
     batch = sample_idx.shape[0]
     lengths = np.empty(max(batch, 1), dtype=np.int64)
     # every non-root reachable vertex is a seed or has a surviving
-    # in-edge, so the payload is bounded by edges + roots + seeds
-    window = int((offsets[sample_idx + 1] - offsets[sample_idx]).sum())
-    cap = window + batch * (1 + int(seeds.shape[0])) + 1
-    out_order = np.empty(cap, dtype=np.int64)
-    out_sizes = np.empty(cap, dtype=np.int64)
-    total = lib.repro_build_trees(
-        n,
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(edge_dst, dtype=np.int64),
-        np.ascontiguousarray(positions, dtype=np.int64),
-        offsets,
-        sample_idx,
-        batch,
-        np.ascontiguousarray(seeds, dtype=np.int64),
-        int(seeds.shape[0]),
-        np.ascontiguousarray(blocked_mask, dtype=np.uint8),
-        out_order,
-        out_sizes,
-        lengths,
+    # in-edge, so a part's payload is bounded by its edges + roots +
+    # seeds.  Each part gets its own output buffer pair, written from
+    # its start, so the pages touched are the payload's as in a serial
+    # build (a region at an offset into one shared buffer would touch
+    # pages a serial build never does)
+    window = np.zeros(batch + 1, dtype=np.int64)
+    np.cumsum(offsets[sample_idx + 1] - offsets[sample_idx], out=window[1:])
+    bounds = _part_bounds(batch, _PART_TREES)
+    parts = list(zip(bounds, bounds[1:]))
+    orders, sizes = [], []
+    for lo, hi in parts:
+        cap = int(window[hi] - window[lo]) + (hi - lo) * (1 + seeds.size) + 1
+        orders.append(np.empty(cap, dtype=np.int64))
+        sizes.append(np.empty(cap, dtype=np.int64))
+    totals = _fan_out(
+        [
+            partial(
+                lib.repro_build_trees, n, indptr, edge_dst, positions,
+                offsets, sample_idx[lo:], hi - lo, seeds, int(seeds.size),
+                blocked_mask, order, size, lengths[lo:],
+            )
+            for (lo, hi), order, size in zip(parts, orders, sizes)
+        ]
     )
-    if total < 0:  # pragma: no cover - scratch malloc failure
+    if min(totals) < 0:  # pragma: no cover - scratch malloc failure
         raise MemoryError("native tree-build kernel out of memory")
     # copy, don't slice: a slice would pin the whole cap-sized output
     # buffer (sized by surviving *edges*, typically ~10x the payload)
@@ -295,8 +418,8 @@ def native_build_trees(
     # byte gauges built on .nbytes would wildly under-count residency
     return (
         lengths[:batch].copy(),
-        out_order[:total].copy(),
-        out_sizes[:total].copy(),
+        np.concatenate([a[:t] for a, t in zip(orders, totals)]),
+        np.concatenate([a[:t] for a, t in zip(sizes, totals)]),
     )
 
 
@@ -309,6 +432,7 @@ def native_coin_rows(
     out: np.ndarray,
     at: int,
     row_ends: np.ndarray,
+    regions: Sequence[tuple[int, int]] | None = None,
 ) -> int | None:
     """Draw pool samples ``lo .. hi-1`` into ``out[at:]``; the number
     of rows completed, or ``None`` when the kernel is unavailable
@@ -322,6 +446,14 @@ def native_coin_rows(
     slots remain in ``out``, so the kernel stops early at a row
     boundary when the caller's buffer runs short; the caller grows
     ``out`` and resumes at ``lo + rows``.
+
+    ``regions`` fans the draw out over threads: ``(rows, size)`` per
+    part (see :func:`coin_parts`), part ``k`` drawing the next
+    ``rows`` samples into its own next ``size`` slots of ``out``.
+    The parts are then moved together, so ``out`` and ``row_ends``
+    read exactly as a serial draw; when a part's region runs short,
+    the rows completed before it are kept and counted, and the later
+    parts' rows are dropped for the caller's serial resume.
     """
     m = int(keys.shape[0])
     if thr.shape != (m,) or sure.shape != (m,) or sure.dtype != np.bool_:
@@ -330,6 +462,14 @@ def native_coin_rows(
         raise ValueError(f"bad sample window [{lo}, {hi})")
     if not 0 <= at <= out.shape[0]:
         raise ValueError(f"write offset {at} outside the output buffer")
+    if regions is None:
+        regions = [(hi - lo, out.shape[0] - at)]
+    if (
+        sum(rows for rows, _ in regions) != hi - lo
+        or any(rows < 0 or size < 0 for rows, size in regions)
+        or at + sum(size for _, size in regions) > out.shape[0]
+    ):
+        raise ValueError("regions must split the rows and fit in out")
     lib = _load()
     if lib is False:
         _count(
@@ -341,20 +481,42 @@ def native_coin_rows(
         "repro_native_coin_calls_total",
         "Sample-pool coin draws answered by the compiled coin kernel",
     )
-    return int(
-        lib.repro_coin_rows(
-            m,
-            keys,
-            thr,
-            sure.view(np.uint8),
-            lo,
-            hi,
-            out,
-            at,
-            int(out.shape[0]),
-            row_ends,
-        )
+    sure_u8 = sure.view(np.uint8)
+    parts = []  # (first row, rows, region start)
+    row, start = lo, at
+    for rows, size in regions:
+        parts.append((row, rows, start))
+        row, start = row + rows, start + size
+    done = _fan_out(
+        [
+            partial(
+                lib.repro_coin_rows, m, keys, thr, sure_u8, first,
+                first + rows, out, begin, begin + size,
+                row_ends[first - lo:],
+            )
+            for (first, rows, begin), (_, size) in zip(parts, regions)
+        ]
     )
+    # move each part down onto the end of the one before it; memmove
+    # handles the overlap in place, where a numpy slice assignment
+    # would copy through a temporary
+    completed, end = 0, at
+    for (first, rows, begin), got in zip(parts, done):
+        if got:
+            ends = row_ends[first - lo: first - lo + got]
+            shift = begin - end
+            if shift:
+                ctypes.memmove(
+                    out.ctypes.data + end * out.itemsize,
+                    out.ctypes.data + begin * out.itemsize,
+                    (int(ends[-1]) - begin) * out.itemsize,
+                )
+                ends -= shift
+            end = int(ends[-1])
+        completed += got
+        if got < rows:
+            break
+    return completed
 
 
 def native_reach_counts(
@@ -405,18 +567,22 @@ def native_reach_counts(
         "Pooled reach traversals answered by the compiled reach kernel",
     )
     counts = np.empty(max(rounds, 1), dtype=np.int64)
-    status = lib.repro_reach_counts(
-        n,
-        np.ascontiguousarray(indptr, dtype=np.int64),
-        np.ascontiguousarray(edge_dst, dtype=np.int64),
-        np.ascontiguousarray(positions, dtype=np.int64),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        rounds,
-        seeds,
-        int(seeds.shape[0]),
-        np.ascontiguousarray(blocked_mask).view(np.uint8),
-        counts,
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    edge_dst = np.ascontiguousarray(edge_dst, dtype=np.int64)
+    positions = np.ascontiguousarray(positions, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    mask = np.ascontiguousarray(blocked_mask).view(np.uint8)
+    bounds = _part_bounds(rounds, _PART_ROUNDS)
+    status = _fan_out(
+        [
+            partial(
+                lib.repro_reach_counts, n, indptr, edge_dst, positions,
+                offsets[lo:], hi - lo, seeds, int(seeds.shape[0]), mask,
+                counts[lo:],
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
     )
-    if status < 0:  # pragma: no cover - scratch malloc failure
+    if min(status) < 0:  # pragma: no cover - scratch malloc failure
         raise MemoryError("native reach kernel out of memory")
     return counts[:rounds]

@@ -163,17 +163,20 @@ class TestPostingsCSR:
     def test_rows_are_ascending_sample_lists(self):
         sample_ids = np.asarray([0, 0, 1, 1, 1, 3], dtype=np.int64)
         vertices = np.asarray([2, 0, 0, 2, 4, 2], dtype=np.int64)
-        indptr, samples = postings_csr(sample_ids, vertices, 5)
+        indptr, samples, order = postings_csr(sample_ids, vertices, 5)
         assert indptr.tolist() == [0, 2, 2, 5, 5, 6]
         assert samples[0:2].tolist() == [0, 1]  # vertex 0
         assert samples[2:5].tolist() == [0, 1, 3]  # vertex 2
         assert samples[5:6].tolist() == [1]  # vertex 4
+        # posting k is input pair order[k]
+        assert order.tolist() == [1, 2, 0, 3, 5, 4]
+        assert np.array_equal(samples, sample_ids[order])
 
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
-        indptr, samples = postings_csr(empty, empty, 4)
+        indptr, samples, order = postings_csr(empty, empty, 4)
         assert indptr.tolist() == [0, 0, 0, 0, 0]
-        assert samples.shape[0] == 0
+        assert samples.shape[0] == 0 and order.shape[0] == 0
 
     def test_misaligned_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -332,6 +335,41 @@ class TestRebaseInvariant:
             fresh = _fresh_view(csr, pool)
             assert view.spread(current) == fresh.spread(current)
             assert np.array_equal(view.gains(current), fresh.gains(current))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        moves=st.lists(
+            st.tuples(st.booleans(), st.sampled_from(_REBASE_CANDIDATES)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_scatter_and_argsort_sample_index_agree(self, wc_setup, moves):
+        # the by-sample posting index is built by inverting the postings
+        # sort; artifacts persisted before that hold the stable argsort
+        # of the posting samples instead (same rows, vertex order within
+        # a row), and must keep answering identically
+        _, csr, pool = wc_setup
+        scatter = _fresh_view(csr, pool)
+        argsorted = _fresh_view(csr, pool)
+        argsorted._samp_pidx = np.argsort(
+            argsorted._post_samples, kind="stable"
+        )
+        rows = np.split(scatter._samp_pidx, scatter._samp_indptr[1:-1])
+        sorted_rows = np.split(
+            argsorted._samp_pidx, argsorted._samp_indptr[1:-1]
+        )
+        for row, sorted_row in zip(rows, sorted_rows):
+            assert np.array_equal(np.sort(row), sorted_row)
+        blocked: set[int] = set()
+        for add, vertex in moves:
+            (blocked.add if add else blocked.discard)(vertex)
+            current = frozenset(blocked)
+            assert scatter.spread(current) == argsorted.spread(current)
+            assert np.array_equal(
+                scatter.gains(current), argsorted.gains(current)
+            )
+            assert np.array_equal(scatter._post_alive, argsorted._post_alive)
 
 
 # ----------------------------------------------------------------------

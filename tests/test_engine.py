@@ -19,6 +19,7 @@ from repro.engine import (
     batch_activation_counts,
     batch_cascades,
     default_workers,
+    EngineSpec,
     make_evaluator,
     ParallelEvaluator,
     PooledEvaluator,
@@ -123,6 +124,26 @@ class TestParity:
             if close:
                 close()
         assert estimate == pytest.approx(expected, abs=TOL)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seeds", [[-1], ["n"], []])
+    def test_backends_share_the_seed_contract(self, toy, backend, seeds):
+        # every backend rejects a seed outside [0, n) with the same
+        # ValueError and spreads nothing from an empty seed set
+        seeds = [toy.n if s == "n" else s for s in seeds]
+        evaluator = make_evaluator(
+            toy, EngineSpec(engine=backend, seed=3, workers=2)
+        )
+        try:
+            if seeds:
+                with pytest.raises(ValueError, match="out of range"):
+                    evaluator.expected_spread(seeds, 50)
+            else:
+                assert evaluator.expected_spread(seeds, 50) == 0.0
+        finally:
+            close = getattr(evaluator, "close", None)
+            if close:
+                close()
 
     def test_backends_agree_with_scalar_reference(self, toy):
         reference = MonteCarloEngine(toy, 5).expected_spread(

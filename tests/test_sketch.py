@@ -513,15 +513,15 @@ class TestGuards:
 
     def test_seed_out_of_range(self, toy):
         sketch = make_evaluator(toy, "sketch", rng=7)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="out of range"):
             sketch.expected_spread([toy.n], 50)
 
     def test_theta_must_be_positive(self, toy):
         sketch = make_evaluator(toy, "sketch", rng=7)
         with pytest.raises(ValueError, match="theta"):
             sketch.expected_spread([figure1_seed], 0)
-        with pytest.raises(ValueError, match="seed"):
-            sketch.expected_spread([], 50)
+        with pytest.raises(ValueError, match="theta"):
+            sketch.expected_spread([], 0)
 
     def test_stats_track_incremental_rebase(self, toy):
         sketch = make_evaluator(toy, "sketch", rng=7)
